@@ -128,8 +128,9 @@ func DOBFSParallel(ctx context.Context, g *Graph, src NodeID, workers int) (dist
 	return exec.DOBFS(ctx, g, src, workers, nil)
 }
 
-// ShortestPathsParallel is the multicore unit-weight SSSP
-// (delta-stepping with delta = 1); distances equal ShortestPaths's.
+// ShortestPathsParallel is the multicore unit-weight SSSP: unit-weight
+// distances are BFS levels, so it runs the direction-optimizing BFS of
+// DOBFSParallel; distances equal ShortestPaths's.
 func ShortestPathsParallel(ctx context.Context, g *Graph, src NodeID, workers int) ([]int32, error) {
 	return exec.ShortestPaths(ctx, g, src, workers, nil)
 }

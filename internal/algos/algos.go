@@ -58,28 +58,6 @@ func BFSFrom(g *graph.Graph, src graph.NodeID) (dist []int32, reached int) {
 	return dist, len(queue)
 }
 
-// BFSFromInto is BFSFrom over caller-owned buffers, for serving many
-// single-source traversals without per-call allocation. dist must have
-// length NumNodes with every entry Unreached; queue is appended to
-// (pass queue[:0] to reuse its capacity). It returns the visit
-// sequence: exactly the vertices whose dist entries were written, so a
-// caller can restore the all-Unreached invariant in O(reached) instead
-// of refilling the whole array.
-func BFSFromInto(g *graph.Graph, src graph.NodeID, dist []int32, queue []graph.NodeID) []graph.NodeID {
-	dist[src] = 0
-	queue = append(queue, src)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.OutNeighbors(u) {
-			if dist[v] == Unreached {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return queue
-}
-
 // BFSAll traverses the whole graph breadth-first, restarting from the
 // lowest-numbered unvisited vertex, and returns the visit sequence.
 // This is the BFS benchmark kernel: it touches every vertex and edge.

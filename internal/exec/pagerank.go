@@ -55,8 +55,9 @@ func PageRank(ctx context.Context, g *graph.Graph, iters int, damping float64, w
 	for it := 0; it < iters; it++ {
 		if err := forChunks(ctx, workers, chunks, func(c int) {
 			lo, hi := ChunkRange(n, chunks, c)
-			for u := lo; u < hi; u++ {
-				contrib[u] = rank[u] * invDeg[u]
+			cs, rs, ds := contrib[lo:hi], rank[lo:hi], invDeg[lo:hi]
+			for i := range cs {
+				cs[i] = rs[i] * ds[i]
 			}
 		}); err != nil {
 			return nil, err
@@ -72,8 +73,8 @@ func PageRank(ctx context.Context, g *graph.Graph, iters int, damping float64, w
 			lo, hi := ChunkRange(n, chunks, c)
 			for v := lo; v < hi; v++ {
 				sum := 0.0
-				for p := inIdx[v]; p < inIdx[v+1]; p++ {
-					sum += contrib[inAdj[p]]
+				for _, u := range inAdj[inIdx[v]:inIdx[v+1]] {
+					sum += contrib[u]
 				}
 				next[v] = base + damping*sum
 			}

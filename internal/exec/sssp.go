@@ -178,23 +178,12 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// ShortestPaths is the parallel form of the paper's SP kernel:
-// unit-weight shortest paths from src, computed by delta-stepping with
-// delta = 1 (buckets degenerate to BFS levels). The int32 hop
-// distances are bit-identical to algos.BellmanFord at any worker
-// count; -1 marks unreachable vertices.
+// ShortestPaths is the paper's SP kernel on the engine: unit-weight
+// shortest paths from src, which are exactly BFS levels, so it returns
+// DOBFS's distances. They are bit-identical to algos.BellmanFord at
+// any worker count; -1 marks unreachable vertices. Weighted input
+// goes through DeltaStepping.
 func ShortestPaths(ctx context.Context, g *graph.Graph, src graph.NodeID, workers int, sc *Scratch) ([]int32, error) {
-	d64, err := DeltaStepping(ctx, g, nil, src, 1, workers, sc)
-	if err != nil {
-		return nil, err
-	}
-	dist := make([]int32, len(d64))
-	for i, d := range d64 {
-		if d == Infinity {
-			dist[i] = -1
-		} else {
-			dist[i] = int32(d)
-		}
-	}
-	return dist, nil
+	dist, _, err := DOBFS(ctx, g, src, workers, sc)
+	return dist, err
 }

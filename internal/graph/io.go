@@ -378,7 +378,7 @@ func readBinaryPayload(b []byte) (*Graph, error) {
 			return nil, errors.New("graph: non-monotone offset array")
 		}
 	}
-	if int64(len(b)) < m*4 {
+	if m > int64(len(b))/4 { // m*4 would overflow for m near 2^62
 		return nil, fmt.Errorf("graph: reading adjacency: %w", ErrTruncated)
 	}
 	outAdj := make([]NodeID, m)

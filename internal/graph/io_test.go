@@ -144,6 +144,14 @@ func TestReadBinaryErrorSentinels(t *testing.T) {
 	binary.Write(&v0, binary.LittleEndian, [2]int64{3, 3})
 	binary.Write(&v0, binary.LittleEndian, []int64{0, 3, 3, 3})
 	check("v0 missing adjacency", v0.Bytes(), ErrTruncated)
+
+	// m = 2^62 makes m*4 wrap to 0: the adjacency size check must not
+	// overflow into passing and handing make an impossible length.
+	v0.Reset()
+	v0.Write(binaryMagic[:])
+	binary.Write(&v0, binary.LittleEndian, [2]int64{1, 1 << 62})
+	binary.Write(&v0, binary.LittleEndian, []int64{0, 1 << 62})
+	check("v0 edge count overflows the size check", v0.Bytes(), ErrTruncated)
 }
 
 // TestReadBinaryAcceptsV0 guards backward compatibility: files in the

@@ -71,11 +71,11 @@ type Config struct {
 	// results and relabeled graphs; zero means the defaults.
 	ResultBudget int64
 	GraphBudget  int64
-	// Workers is the goroutine count handed to kernels with a parallel
-	// variant (> 1 engages the multicore engine; <= 1 keeps every
-	// kernel serial). Scheduling only: parallel results are
-	// parity-pinned to serial, so Workers is applied after cache
-	// keying and never splits the result caches.
+	// Workers is the goroutine count handed to the kernels that run on
+	// the multicore engine (registry Kernel.Parallel); <= 0 means 1.
+	// Scheduling only: engine results are parity-pinned to the serial
+	// oracles, so Workers is applied after cache keying and never
+	// splits the result caches.
 	Workers int
 }
 
@@ -193,6 +193,9 @@ func New(cfg Config) *Executor {
 	}
 	if cfg.GraphBudget <= 0 {
 		cfg.GraphBudget = DefaultGraphBudget
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
 	}
 	par := make(map[string]*atomic.Int64)
 	for _, k := range registry.Kernels() {
@@ -384,7 +387,7 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 	if consumesSource(k) && og.perm != nil {
 		runParams.SPSource = int(og.perm[params.SPSource])
 	}
-	// Workers rides outside the cache key (parallel output is
+	// Workers rides outside the cache key (engine output is
 	// parity-pinned to serial), so it is applied only now, after keying.
 	if k.Parallel {
 		runParams.Workers = e.cfg.Workers
@@ -693,7 +696,8 @@ func (e *Executor) RelabelBuilds() int64 { return e.relabelBuilds.Load() }
 func (e *Executor) MaterializeFails() int64 { return e.materializeFails.Load() }
 
 // ParallelRuns returns how many times the named kernel ran on the
-// multicore engine (0 for kernels without a parallel variant).
+// multicore engine with more than one worker (0 for kernels that do
+// not run on the engine).
 func (e *Executor) ParallelRuns(kernel string) int64 {
 	if c := e.parallelRuns[kernel]; c != nil {
 		return c.Load()

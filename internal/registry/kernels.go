@@ -27,11 +27,11 @@ type KernelParams struct {
 	SPSource int
 	// LabelPropIters bounds the LP kernel's sweeps (<= 0 = default).
 	LabelPropIters int
-	// Workers sets the goroutine count for kernels with a parallel
-	// variant (Kernel.Parallel): > 1 dispatches to internal/exec, <= 1
-	// runs the serial kernel. Scheduling only — parallel results are
-	// parity-pinned to the serial oracles, so Workers never enters
-	// kernel keys (mirroring the ordering Workers option).
+	// Workers sets the internal/exec goroutine count for the kernels
+	// whose Query runs on that engine (Kernel.Parallel); <= 0 selects
+	// GOMAXPROCS. Scheduling only — exec results are parity-pinned to
+	// the serial oracles at every worker count, so Workers never
+	// enters kernel keys (mirroring the ordering Workers option).
 	Workers int
 }
 
@@ -66,11 +66,11 @@ type Kernel struct {
 	// invariant under relabeling (so results computed on any ordering
 	// map back to the caller's ID space exactly). Kernels whose
 	// natural output is order-dependent (visit sequences, component
-	// labels) leave it nil. ctx bounds the execution: the parallel
-	// variants poll it between chunks and return its error mid-run.
+	// labels) leave it nil. ctx bounds the execution: the Parallel
+	// kernels poll it between chunks and return its error mid-run.
 	Query func(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error)
-	// Parallel marks kernels whose Query dispatches to the multicore
-	// engine (internal/exec) when KernelParams.Workers > 1.
+	// Parallel marks kernels whose Query runs on the multicore engine
+	// (internal/exec) and so honours KernelParams.Workers and ctx.
 	Parallel bool
 	// WholeGraph marks source-independent queryable kernels whose
 	// full result the query tier may materialize as a store artifact.
@@ -100,7 +100,7 @@ func spSource(g *graph.Graph, p KernelParams) graph.NodeID {
 var kernels = []Kernel{
 	{
 		Name: "BFS", Paper: true, Parallel: true,
-		Query: queryBFS, QueryConsumes: []KernelOptionField{KOptSource, KOptWorkers},
+		Query: queryBFS, QueryConsumes: []KernelOptionField{KOptSource},
 		Run: func(g *graph.Graph, _ KernelParams) { algos.BFSAll(g) },
 		RunTraced: func(_ *graph.Graph, t *algos.TracedGraph, s *mem.Space, _ KernelParams) {
 			algos.TracedBFSAll(t, s)
@@ -156,7 +156,7 @@ var kernels = []Kernel{
 	},
 	{
 		Name: "PR", Paper: true, Parallel: true,
-		Query: queryPR, WholeGraph: true, QueryConsumes: []KernelOptionField{KOptIters, KOptWorkers},
+		Query: queryPR, WholeGraph: true, QueryConsumes: []KernelOptionField{KOptIters},
 		Run: func(g *graph.Graph, p KernelParams) {
 			algos.PageRank(g, p.PageRankIters, algos.DefaultDamping)
 		},
@@ -173,7 +173,7 @@ var kernels = []Kernel{
 	},
 	{
 		Name: "SP", Paper: true, Parallel: true,
-		Query: querySP, QueryConsumes: []KernelOptionField{KOptSource, KOptWorkers},
+		Query: querySP, QueryConsumes: []KernelOptionField{KOptSource},
 		Run: func(g *graph.Graph, p KernelParams) {
 			algos.BellmanFord(g, spSource(g, p))
 		},
@@ -183,7 +183,7 @@ var kernels = []Kernel{
 	},
 	{
 		Name: "Tri", Parallel: true,
-		Query: queryTri, WholeGraph: true, QueryConsumes: []KernelOptionField{KOptWorkers},
+		Query: queryTri, WholeGraph: true,
 		Run: func(g *graph.Graph, _ KernelParams) { algos.TriangleCount(g) },
 		RunTraced: func(g *graph.Graph, _ *algos.TracedGraph, s *mem.Space, _ KernelParams) {
 			algos.TracedTriangleCount(g, s)

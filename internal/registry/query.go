@@ -75,29 +75,12 @@ func (r *KernelResult) Value(v int) float64 {
 	return 0
 }
 
-// QueryScratch holds the reusable traversal buffers a queryable
-// kernel may borrow, so a batch of same-graph queries pays the
-// frontier-buffer setup once instead of per request. The zero value
-// is ready; not safe for concurrent use.
-type QueryScratch struct {
-	dist  []int32        // full length, all Unreached between calls
-	queue []graph.NodeID // visit-order buffer, reused for capacity
-	par   exec.Scratch   // parallel engine buffers (frontiers, contribs)
-}
-
-// buffers returns the distance and queue buffers sized for n
-// vertices. The distance buffer's entries are all Unreached; callers
-// must restore that invariant (reset exactly the entries they wrote)
-// before returning.
-func (s *QueryScratch) buffers(n int) ([]int32, []graph.NodeID) {
-	if cap(s.dist) < n {
-		s.dist = make([]int32, n)
-		for i := range s.dist {
-			s.dist[i] = algos.Unreached
-		}
-	}
-	return s.dist[:n], s.queue[:0]
-}
+// QueryScratch is the set of reusable engine buffers (frontiers,
+// contribution arrays) a queryable kernel may borrow, so a batch of
+// same-graph queries pays their setup once instead of per request. The
+// zero value is ready and a nil scratch is allowed; not safe for
+// concurrent use.
+type QueryScratch = exec.Scratch
 
 // KernelOptionField names one KernelParams field in a kernel's
 // QueryConsumes list.
@@ -109,11 +92,6 @@ const (
 	KOptSource KernelOptionField = "source"
 	// KOptIters is the PageRank iteration count.
 	KOptIters KernelOptionField = "iters"
-	// KOptWorkers is the parallel-engine goroutine count
-	// (KernelParams.Workers). Consumed but never keyed: parallel
-	// results are parity-pinned to serial, so the same cache entry
-	// serves any worker count.
-	KOptWorkers KernelOptionField = "workers"
 )
 
 // CanonicalKernelParams normalizes p for the named kernel: fields the
@@ -139,11 +117,6 @@ func CanonicalKernelParams(name string, p KernelParams) (KernelParams, error) {
 			if c.PageRankIters <= 0 {
 				c.PageRankIters = algos.DefaultPageRankIters
 			}
-		case KOptWorkers:
-			// Scheduling only — canonically zero. The execution layer
-			// re-applies its Workers setting after keying, so parallel
-			// and serial runs share one cache entry (their results are
-			// parity-pinned).
 		}
 	}
 	return c, nil
@@ -196,88 +169,35 @@ func checkSource(g *graph.Graph, p KernelParams) (graph.NodeID, error) {
 
 // ---- per-kernel query entry points --------------------------------------
 
-// parScratch borrows the parallel-engine buffers from s, tolerating a
-// nil scratch (the exec kernels allocate their own then).
-func parScratch(s *QueryScratch) *exec.Scratch {
-	if s == nil {
-		return nil
-	}
-	return &s.par
-}
-
 func queryBFS(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
-	src, err := checkSource(g, p)
-	if err != nil {
-		return KernelResult{}, err
-	}
-	if p.Workers > 1 {
-		dist, reached, err := exec.DOBFS(ctx, g, src, p.Workers, parScratch(s))
-		if err != nil {
-			return KernelResult{}, err
-		}
-		var ecc int32
-		for _, d := range dist {
-			if d > ecc {
-				ecc = d
-			}
-		}
-		return KernelResult{
-			Kernel:  "BFS",
-			Summary: map[string]float64{"reached": float64(reached), "ecc": float64(ecc)},
-			Int32s:  dist,
-		}, nil
-	}
-	n := g.NumNodes()
-	dist, queue := s.buffers(n)
-	queue = algos.BFSFromInto(g, src, dist, queue)
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = algos.Unreached
-	}
-	var ecc int32
-	for _, v := range queue {
-		out[v] = dist[v]
-		if dist[v] > ecc {
-			ecc = dist[v]
-		}
-		dist[v] = algos.Unreached // restore the scratch invariant
-	}
-	reached := len(queue)
-	s.queue = queue[:0]
-	return KernelResult{
-		Kernel:  "BFS",
-		Summary: map[string]float64{"reached": float64(reached), "ecc": float64(ecc)},
-		Int32s:  out,
-	}, nil
+	return traverse(ctx, "BFS", g, p, s)
 }
 
+// querySP serves the paper's SP kernel: unit-weight shortest paths are
+// BFS levels, so it shares BFS's traversal and differs only in name.
 func querySP(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
+	return traverse(ctx, "SP", g, p, s)
+}
+
+// traverse runs the exec engine's direction-optimising BFS from the
+// resolved source and summarizes the hop distances.
+func traverse(ctx context.Context, kernel string, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
 	src, err := checkSource(g, p)
 	if err != nil {
 		return KernelResult{}, err
 	}
-	var dist []int32
-	if p.Workers > 1 {
-		dist, err = exec.ShortestPaths(ctx, g, src, p.Workers, parScratch(s))
-		if err != nil {
-			return KernelResult{}, err
-		}
-	} else {
-		dist = algos.BellmanFord(g, src)
+	dist, reached, err := exec.DOBFS(ctx, g, src, p.Workers, s)
+	if err != nil {
+		return KernelResult{}, err
 	}
 	var ecc int32
-	reached := 0
 	for _, d := range dist {
-		if d == algos.Unreached {
-			continue
-		}
-		reached++
 		if d > ecc {
 			ecc = d
 		}
 	}
 	return KernelResult{
-		Kernel:  "SP",
+		Kernel:  kernel,
 		Summary: map[string]float64{"reached": float64(reached), "ecc": float64(ecc)},
 		Int32s:  dist,
 	}, nil
@@ -288,15 +208,9 @@ func queryPR(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratc
 	if iters <= 0 {
 		iters = algos.DefaultPageRankIters
 	}
-	var rank []float64
-	if p.Workers > 1 {
-		var err error
-		rank, err = exec.PageRank(ctx, g, iters, algos.DefaultDamping, p.Workers, parScratch(s))
-		if err != nil {
-			return KernelResult{}, err
-		}
-	} else {
-		rank = algos.PageRank(g, iters, algos.DefaultDamping)
+	rank, err := exec.PageRank(ctx, g, iters, algos.DefaultDamping, p.Workers, s)
+	if err != nil {
+		return KernelResult{}, err
 	}
 	var sum, max float64
 	for _, r := range rank {
@@ -344,15 +258,9 @@ func queryNQ(_ context.Context, g *graph.Graph, _ KernelParams, _ *QueryScratch)
 }
 
 func queryTri(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
-	var tri int64
-	if p.Workers > 1 {
-		var err error
-		tri, err = exec.TriangleCount(ctx, g, p.Workers, parScratch(s))
-		if err != nil {
-			return KernelResult{}, err
-		}
-	} else {
-		tri = algos.TriangleCount(g)
+	tri, err := exec.TriangleCount(ctx, g, p.Workers, s)
+	if err != nil {
+		return KernelResult{}, err
 	}
 	return KernelResult{
 		Kernel:  "Tri",

@@ -2,8 +2,11 @@ package registry
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"gorder/internal/algos"
 	"gorder/internal/gen"
@@ -90,14 +93,14 @@ func TestQueryBFSMatchesDirectTraversal(t *testing.T) {
 	var scratch QueryScratch
 
 	// Two runs from different sources through one scratch: results must
-	// match fresh per-run traversals, proving the buffer reset between
-	// calls is complete.
+	// match fresh serial traversals, proving the scratch carries no
+	// state between calls.
 	for _, src := range []int{0, 17} {
 		res, err := k.Query(context.Background(), g, KernelParams{SPSource: src}, &scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := freshBFS(g, graph.NodeID(src))
+		want, _ := algos.BFSFrom(g, graph.NodeID(src))
 		if !reflect.DeepEqual(res.Int32s, want) {
 			t.Fatalf("src %d: scratch-based BFS diverges from fresh traversal", src)
 		}
@@ -120,17 +123,6 @@ func TestQueryBFSMatchesDirectTraversal(t *testing.T) {
 	}
 }
 
-// freshBFS is an independent reference traversal using only the public
-// BFS building block, with fresh buffers every time.
-func freshBFS(g *graph.Graph, src graph.NodeID) []int32 {
-	dist := make([]int32, g.NumNodes())
-	for i := range dist {
-		dist[i] = algos.Unreached
-	}
-	algos.BFSFromInto(g, src, dist, nil)
-	return dist
-}
-
 func TestHubSourceIsDegreeInvariant(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 4, 3)
 	hub := HubSource(g)
@@ -140,6 +132,125 @@ func TestHubSourceIsDegreeInvariant(t *testing.T) {
 		}
 		if g.OutDegree(graph.NodeID(v)) == g.OutDegree(hub) && graph.NodeID(v) < hub {
 			t.Fatalf("hub %d is not the lowest-ID max-degree vertex (%d ties)", hub, v)
+		}
+	}
+}
+
+// TestQueryEngineParity pins the engine-backed query kernels to their
+// serial oracles, exactly, at one worker and at two, on the exec
+// parity generators.
+func TestQueryEngineParity(t *testing.T) {
+	graphs := []*graph.Graph{
+		gen.ErdosRenyi(600, 3000, 11),
+		gen.BarabasiAlbert(600, 4, 12),
+		gen.Web(600, gen.WebConfig{}, 13),
+	}
+	ctx := context.Background()
+	run := func(t *testing.T, name string, g *graph.Graph, p KernelParams) KernelResult {
+		t.Helper()
+		k, _ := LookupKernel(name)
+		res, err := k.Query(ctx, g, p, new(QueryScratch))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return res
+	}
+	for gi, g := range graphs {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("graph%d/workers=%d", gi, workers), func(t *testing.T) {
+				for _, src := range []int{0, 7} {
+					wantBFS, reached := algos.BFSFrom(g, graph.NodeID(src))
+					bfs := run(t, "BFS", g, KernelParams{SPSource: src, Workers: workers})
+					if !reflect.DeepEqual(bfs.Int32s, wantBFS) || bfs.Summary["reached"] != float64(reached) {
+						t.Fatalf("BFS from %d diverges from algos.BFSFrom", src)
+					}
+					sp := run(t, "SP", g, KernelParams{SPSource: src, Workers: workers})
+					if !reflect.DeepEqual(sp.Int32s, algos.BellmanFord(g, graph.NodeID(src))) {
+						t.Fatalf("SP from %d diverges from algos.BellmanFord", src)
+					}
+				}
+				wantPR := algos.PageRank(g, algos.DefaultPageRankIters, algos.DefaultDamping)
+				pr := run(t, "PR", g, KernelParams{Workers: workers})
+				for v := range wantPR {
+					if pr.Floats[v] != wantPR[v] {
+						t.Fatalf("PR[%d] = %v, algos.PageRank %v", v, pr.Floats[v], wantPR[v])
+					}
+				}
+				tri := run(t, "Tri", g, KernelParams{Workers: workers})
+				if want := algos.TriangleCount(g); tri.Summary["triangles"] != float64(want) {
+					t.Fatalf("Tri = %v, algos.TriangleCount %d", tri.Summary["triangles"], want)
+				}
+			})
+		}
+	}
+}
+
+// TestQueryHonoursDeadline: every engine-backed kernel, at one worker
+// (the daemon default) and at two, returns its context's error instead
+// of a result once the context is done.
+func TestQueryHonoursDeadline(t *testing.T) {
+	g := gen.BarabasiAlbert(3000, 8, 41)
+	bg := context.Background()
+	ctxs := []struct {
+		name string
+		open func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"cancelled", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(bg)
+			cancel()
+			return ctx, cancel
+		}, context.Canceled},
+		{"expired", func() (context.Context, context.CancelFunc) {
+			return context.WithDeadline(bg, time.Now().Add(-time.Second))
+		}, context.DeadlineExceeded},
+	}
+	kernels := []struct {
+		name string
+		p    KernelParams
+	}{
+		{"BFS", KernelParams{SPSource: 0}},
+		{"SP", KernelParams{SPSource: 0}},
+		{"PR", KernelParams{PageRankIters: 10}},
+		{"Tri", KernelParams{}},
+	}
+	for _, kc := range kernels {
+		k, _ := LookupKernel(kc.name)
+		if !k.Parallel {
+			t.Fatalf("%s does not run on the engine", kc.name)
+		}
+		for _, workers := range []int{1, 2} {
+			p := kc.p
+			p.Workers = workers
+			for _, c := range ctxs {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", kc.name, workers, c.name), func(t *testing.T) {
+					ctx, cancel := c.open()
+					defer cancel()
+					res, err := k.Query(ctx, g, p, new(QueryScratch))
+					if !errors.Is(err, c.want) {
+						t.Fatalf("err = %v, want %v", err, c.want)
+					}
+					if res.Summary != nil || res.VectorLen() != 0 {
+						t.Fatalf("done context still produced a result: %+v", res.Summary)
+					}
+				})
+			}
+		}
+	}
+
+	// A deadline expiring mid-run stops PageRank between chunks instead
+	// of after all its iterations (minutes of work at this count).
+	k, _ := LookupKernel("PR")
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithTimeout(bg, 5*time.Millisecond)
+		start := time.Now()
+		_, err := k.Query(ctx, g, KernelParams{PageRankIters: 1_000_000, Workers: workers}, nil)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: mid-run expiry err = %v, want DeadlineExceeded", workers, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("workers=%d: cancellation took %v", workers, elapsed)
 		}
 	}
 }

@@ -76,6 +76,7 @@ func (s *Server) initQuery(m *Metrics) {
 	m.Func("query_cache_hits_total", s.Query.CacheHits)
 	m.Func("query_cache_misses_total", s.Query.CacheMisses)
 	m.Func("query_materialized_hits_total", s.Query.MaterializedHits)
+	m.Func("query_materialize_fails_total", s.Query.MaterializeFails)
 	m.Func("query_kernel_runs_total", s.Query.KernelRuns)
 	m.Func("query_relabel_builds_total", s.Query.RelabelBuilds)
 	m.Func("query_result_cache_bytes", s.Query.ResultCacheBytes)

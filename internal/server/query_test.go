@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -131,6 +133,31 @@ func TestQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMaterializeFailureCounted: a whole-graph result the store cannot
+// persist still answers the query, and the failed write shows on
+// /metrics as query_materialize_fails_total.
+func TestMaterializeFailureCounted(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newStoreServer(t, dir, 0)
+	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(200, 3, 5)))
+	if n, ok := metricsSnapshot(t, ts)["query_materialize_fails_total"]; !ok || n != 0 {
+		t.Fatalf("query_materialize_fails_total = %d (exported %v), want 0", n, ok)
+	}
+	// A plain file where the results directory was makes every
+	// artifact write fail.
+	results := filepath.Join(dir, "results")
+	if err := os.RemoveAll(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(results, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	postQuery(t, ts, query.Request{Graph: "ba", Kernel: "PR", Top: 3}, http.StatusOK)
+	if n := metricsSnapshot(t, ts)["query_materialize_fails_total"]; n != 1 {
+		t.Fatalf("query_materialize_fails_total = %d after a failed write, want 1", n)
+	}
+}
+
 // TestReadsNotBlockedByCompute pins the read/compute separation: with
 // every worker busy on a long ordering job, queries and catalog reads
 // still answer immediately.
@@ -250,6 +277,32 @@ func TestQueryValidationEnvelopes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "POST" {
 		t.Errorf("GET /query: status %d allow %q", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+}
+
+// TestQueryDeadlineAtOneWorker: the daemon's default one-worker kernel
+// path honours timeout_ms. A 10000-iteration PageRank would run for
+// seconds; with a 5 ms deadline it must stop between chunks and answer
+// 504 query_timeout.
+func TestQueryDeadlineAtOneWorker(t *testing.T) {
+	_, ts := newTestServer(t, Config{KernelWorkers: 1, Pool: PoolConfig{Workers: 1, QueueDepth: 4}})
+	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(5000, 8, 9)))
+	body, _ := json.Marshal(query.Request{Graph: "ba", Kernel: "PR", Iters: 10000, TimeoutMs: 5})
+	start := time.Now()
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d after %v, want 504", resp.StatusCode, elapsed)
+	}
+	if env := decodeJSON[map[string]apiError](t, resp.Body); env["error"].Code != "query_timeout" {
+		t.Fatalf("envelope %+v, want query_timeout", env)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("deadline honoured only after %v", elapsed)
 	}
 }
 

@@ -43,7 +43,7 @@ type Config struct {
 	QueryTimeout      time.Duration // default per-query deadline; <= 0 means 30s
 	QueryResultBudget int64         // result-cache LRU bytes; <= 0 means 64 MiB
 	QueryGraphBudget  int64         // relabeled-graph LRU bytes; <= 0 means 256 MiB
-	KernelWorkers     int           // goroutines per parallel kernel; <= 1 means serial
+	KernelWorkers     int           // goroutines per internal/exec kernel query; <= 0 means 1
 
 	// Traffic-tier knobs. TenantRate is the per-tenant request rate in
 	// requests/second (<= 0 disables rate limiting entirely);

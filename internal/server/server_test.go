@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -264,6 +265,26 @@ func TestUploadSizeLimit(t *testing.T) {
 	env := decodeJSON[map[string]apiError](t, resp.Body)
 	if env["error"].Code != "too_large" {
 		t.Fatalf("error envelope = %+v", env)
+	}
+}
+
+// TestUploadRejectsOverflowingBinaryHeader: a 40-byte v0 binary graph
+// claiming n=1 and m=2^62 (offsets consistent) must get the 400
+// envelope, not panic the handler and drop the connection.
+func TestUploadRejectsOverflowingBinaryHeader(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
+	body := []byte("GORDCSR1")
+	for _, v := range []uint64{1, 1 << 62, 0, 1 << 62} {
+		body = binary.LittleEndian.AppendUint64(body, v)
+	}
+	resp, err := http.Post(ts.URL+"/graphs?name=evil", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("upload dropped the connection: %v", err)
+	}
+	defer resp.Body.Close()
+	env := decodeJSON[map[string]apiError](t, resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || env["error"].Code != "bad_graph" {
+		t.Fatalf("overflowing header: status %d envelope %+v, want 400 bad_graph", resp.StatusCode, env)
 	}
 }
 

@@ -67,6 +67,9 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> perfbench module (nested module; builds against the registry, exec, query and server APIs)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> greedy parity under race (optimized loop == seed reference, bit for bit)"
 go test -race -run 'TestOrderOptimizedMatchesReference' -count=1 ./internal/core/
 
