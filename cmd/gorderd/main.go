@@ -31,15 +31,18 @@
 // jobs finish within the grace period, and persists still-queued jobs
 // to the manifest file, which the next start replays.
 //
-// With -data-dir the daemon keeps a persistent store: uploaded graphs
-// and computed ordering permutations are written there and served
-// again after a restart, and repeat order jobs are answered from the
-// artifact cache without recomputation. -mem-budget bounds how many
-// graph bytes stay resident in memory; least-recently-used graphs are
-// evicted and transparently reloaded from disk when next needed.
+// Every daemon serves from a store: uploaded graphs and computed
+// ordering permutations are written there, queries run over the
+// stored orderings, and repeat order jobs are answered from the
+// artifact cache without recomputation. -data-dir names the store
+// directory, which outlives the process so a restart serves the same
+// catalog; without it the daemon uses a fresh temporary directory and
+// removes it on exit. -mem-budget bounds how many graph bytes stay
+// resident in memory; least-recently-used graphs are evicted and
+// transparently reloaded from disk when next needed.
 //
-// With a store, uploaded graphs become version 1 of a lineage and each
-// edit batch appends the next version; a bare name (or name@latest)
+// Uploaded graphs become version 1 of a lineage and each edit batch
+// appends the next version; a bare name (or name@latest)
 // always resolves to the tip, so queries never see a stale graph, and
 // name@vN pins an old version. Ordering artifacts are carried forward
 // across versions incrementally and their quality F(pi) is tracked
@@ -67,7 +70,11 @@ import (
 	"gorder/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the daemon; its deferred cleanup (closing the store and
+// removing a temporary one) runs on every exit path, errors included.
+func run() int {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent ordering jobs")
@@ -75,10 +82,9 @@ func main() {
 		timeout   = flag.Duration("timeout", 5*time.Minute, "default per-job deadline")
 		grace     = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight jobs")
 		dataDir   = flag.String("data", "", "directory of graph files to preload (.bin .graph .txt .el .edges)")
-		storeDir  = flag.String("data-dir", "", "persistent store directory for graphs and ordering artifacts ('' = in-memory only)")
-		memBudget = flag.Int64("mem-budget", 0, "byte budget for graphs held resident in memory; evicted graphs reload from the store (0 = unlimited; needs -data-dir)")
+		storeDir  = flag.String("data-dir", "", "store directory for graphs, lineages and ordering artifacts ('' = a temporary directory removed on exit)")
+		memBudget = flag.Int64("mem-budget", 0, "byte budget for graphs held resident in memory; evicted graphs reload from the store (0 = unlimited)")
 		maxUpload = flag.Int64("max-upload", 32<<20, "max graph upload size in bytes")
-		maxUpB    = flag.Int64("max-upload-bytes", 0, "alias for -max-upload (takes precedence when set)")
 		tenRate   = flag.Float64("tenant-rate", 0, "per-tenant request rate limit in req/s, keyed by the X-Tenant header (0 disables)")
 		tenBurst  = flag.Int("tenant-burst", 0, "per-tenant rate-limit burst (0 = one second of -tenant-rate)")
 		tenWts    = flag.String("tenant-weights", "", "fair-queueing tenant weights as name=weight,... (unlisted tenants weigh 1)")
@@ -102,32 +108,36 @@ func main() {
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if *maxUpB > 0 {
-		*maxUpload = *maxUpB
-	}
 	if *kWorkers == 0 {
 		*kWorkers = runtime.GOMAXPROCS(0)
 	}
 	weights, err := fair.ParseWeights(*tenWts)
 	if err != nil {
 		log.Error("parsing -tenant-weights", "err", err)
-		os.Exit(1)
+		return 1
 	}
 
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		st, err = store.Open(store.Config{Dir: *storeDir, MemBudget: *memBudget})
+	if *storeDir == "" {
+		tmp, err := os.MkdirTemp("", "gorderd-store-")
 		if err != nil {
-			log.Error("opening data store", "dir", *storeDir, "err", err)
-			os.Exit(1)
+			log.Error("creating temporary data store", "err", err)
+			return 1
 		}
-		log.Info("data store opened", "dir", *storeDir,
-			"graphs", st.GraphCount(), "orders", st.OrderCount(), "mem_budget", *memBudget)
-	} else if *memBudget != 0 {
-		log.Error("-mem-budget requires -data-dir (evicted graphs must have a disk copy to reload from)")
-		os.Exit(1)
+		defer os.RemoveAll(tmp)
+		*storeDir = tmp
 	}
+	st, err := store.Open(store.Config{Dir: *storeDir, MemBudget: *memBudget})
+	if err != nil {
+		log.Error("opening data store", "dir", *storeDir, "err", err)
+		return 1
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			log.Warn("closing data store", "err", err)
+		}
+	}()
+	log.Info("data store opened", "dir", *storeDir,
+		"graphs", st.GraphCount(), "orders", st.OrderCount(), "mem_budget", *memBudget)
 
 	srv := server.New(server.Config{
 		Pool: server.PoolConfig{
@@ -156,7 +166,7 @@ func main() {
 		n, err := srv.Reg.LoadDir(*dataDir)
 		if err != nil {
 			log.Error("loading dataset directory", "dir", *dataDir, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		log.Info("datasets preloaded", "dir", *dataDir, "graphs", n)
 	}
@@ -168,7 +178,7 @@ func main() {
 		reqs, err := server.ReadManifest(*manifest)
 		if err != nil {
 			log.Error("reading job manifest", "path", *manifest, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		if len(reqs) > 0 {
 			n := srv.Replay(reqs)
@@ -182,7 +192,7 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Error("listen failed", "addr", *addr, "err", err)
-		os.Exit(1)
+		return 1
 	}
 	// The resolved address goes to stdout as a plain line so scripts
 	// (and the smoke test) can find a :0-assigned port.
@@ -203,7 +213,7 @@ func main() {
 		log.Info("shutdown signal received", "grace", *grace)
 	case err := <-errCh:
 		log.Error("http server failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
@@ -213,12 +223,8 @@ func main() {
 	}
 	if err := srv.DrainAndPersist(*grace, *manifest); err != nil {
 		log.Error("drain failed", "err", err)
-		os.Exit(1)
-	}
-	if st != nil {
-		if err := st.Close(); err != nil {
-			log.Warn("closing data store", "err", err)
-		}
+		return 1
 	}
 	log.Info("gorderd stopped")
+	return 0
 }

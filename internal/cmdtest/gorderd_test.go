@@ -23,9 +23,17 @@ import (
 // the resolved address on stdout.
 func startGorderd(t *testing.T, extraArgs ...string) (string, *exec.Cmd) {
 	t.Helper()
+	return startGorderdEnv(t, nil, extraArgs...)
+}
+
+// startGorderdEnv is startGorderd with extra KEY=value environment
+// entries for the daemon.
+func startGorderdEnv(t *testing.T, env []string, extraArgs ...string) (string, *exec.Cmd) {
+	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-grace", "10s"}, extraArgs...)
 	cmd := exec.Command(filepath.Join(binDir, "gorderd"), args...)
 	cmd.Dir = t.TempDir() // keep any default manifest writes out of the repo
+	cmd.Env = append(os.Environ(), env...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +180,39 @@ func TestGorderdSmoke(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("gorderd ignored SIGTERM")
+	}
+}
+
+// TestGorderdTempStoreRemovedOnExit: without -data-dir the daemon
+// still serves from a store — a fresh directory under TMPDIR, so
+// lineages exist — and removes that directory on a clean exit.
+func TestGorderdTempStoreRemovedOnExit(t *testing.T) {
+	tmp := t.TempDir()
+	base, cmd := startGorderdEnv(t, []string{"TMPDIR=" + tmp})
+	code, info := httpJSON[map[string]any](t, http.MethodPost, base+"/graphs?name=tri",
+		"application/octet-stream", strings.NewReader("0 1\n1 2\n2 0\n"))
+	if code != http.StatusCreated {
+		t.Fatalf("upload: status %d (%v)", code, info)
+	}
+	if code, lin := httpJSON[map[string]any](t, http.MethodGet, base+"/graphs/tri/lineage", "", nil); code != http.StatusOK {
+		t.Fatalf("lineage: status %d (%v)", code, lin)
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 1 {
+		t.Fatalf("TMPDIR holds %d entries while serving (err %v), want the one store directory", len(entries), err)
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("gorderd exited uncleanly: %v", err)
+	}
+	entries, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("left behind in TMPDIR after exit: %s", e.Name())
 	}
 }
 

@@ -139,10 +139,10 @@ func orderUnitHeap(ctx context.Context, g *graph.Graph, w, hub int) (perm order.
 		h:      NewUnitHeap(n),
 		outIdx: g.OutIndex(), outAdj: g.OutAdjacency(),
 		inIdx: g.InIndex(), inAdj: g.InAdjacency(),
-		hub:   int64(hub),
-		delta: make([]int32, n),
-		pc:    make([]int32, n),
-		mc:    make([]int32, n),
+		hub:    int64(hub),
+		delta:  make([]int32, n),
+		pc:     make([]int32, n),
+		mc:     make([]int32, n),
 		log:    make([]int32, 0, greedyLogCap),
 		logged: true,
 	}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"gorder/internal/exec"
 	"gorder/internal/graph"
 	"gorder/internal/order"
 )
@@ -187,14 +187,6 @@ func OrderPartitionedCtx(ctx context.Context, g *graph.Graph, opt Options, po Pa
 	return order.FromSequence(seq), nil
 }
 
-// resolveWorkers maps the workers knob to a goroutine count.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
 // ghostScratch holds one worker goroutine's reusable per-partition
 // buffers: the global-to-local vertex map, the external in-neighbour
 // child counts, the list of touched externals (for O(touched) reset),
@@ -222,7 +214,7 @@ func newGhostScratch(n int) *ghostScratch {
 // ordered member sequence in global IDs. Results land in per-partition
 // slots, so the claim order does not affect the output.
 func orderPartitions(ctx context.Context, g *graph.Graph, opt Options, workers int, parts [][]graph.NodeID) ([][]graph.NodeID, error) {
-	workers = resolveWorkers(workers)
+	workers = exec.ResolveWorkers(workers)
 	if workers > len(parts) {
 		workers = len(parts)
 	}

@@ -69,7 +69,7 @@ func DOBFS(ctx context.Context, g *graph.Graph, src graph.NodeID, workers int, s
 			chunks := ChunksFor(n)
 			locals := sc.segments(chunks)
 			degs := make([]int64, chunks)
-			if err := forChunks(ctx, workers, chunks, func(c int) {
+			if err := ForChunks(ctx, workers, chunks, func(c int) {
 				lo, hi := ChunkRange(n, chunks, c)
 				buf := locals[c]
 				var deg int64
@@ -102,7 +102,7 @@ func DOBFS(ctx context.Context, g *graph.Graph, src graph.NodeID, workers int, s
 			chunks := ChunksFor(len(frontier))
 			locals := sc.segments(chunks)
 			degs := make([]int64, chunks)
-			if err := forChunks(ctx, workers, chunks, func(c int) {
+			if err := ForChunks(ctx, workers, chunks, func(c int) {
 				lo, hi := ChunkRange(len(frontier), chunks, c)
 				buf := locals[c]
 				var deg int64

@@ -61,25 +61,26 @@ func ChunkRange(total, chunks, c int) (lo, hi int) {
 	return c * total / chunks, (c + 1) * total / chunks
 }
 
-// resolveWorkers maps the public workers knob to a goroutine count.
-func resolveWorkers(workers int) int {
+// ResolveWorkers maps the public workers knob to a goroutine count:
+// <= 0 selects GOMAXPROCS.
+func ResolveWorkers(workers int) int {
 	if workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return workers
 }
 
-// forChunks runs fn(c) for every chunk index in [0, chunks) on up to
+// ForChunks runs fn(c) for every chunk index in [0, chunks) on up to
 // `workers` goroutines. Chunks are claimed from a shared counter, so
 // scheduling is dynamic (a straggler chunk never idles the other
 // workers) but fn must only write state owned by its chunk. ctx is
 // polled before each claimed chunk; once it is done the remaining
 // chunks are skipped and ctx.Err() is returned.
-func forChunks(ctx context.Context, workers, chunks int, fn func(c int)) error {
+func ForChunks(ctx context.Context, workers, chunks int, fn func(c int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers = resolveWorkers(workers)
+	workers = ResolveWorkers(workers)
 	if workers > chunks {
 		workers = chunks
 	}

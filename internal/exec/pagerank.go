@@ -53,7 +53,7 @@ func PageRank(ctx context.Context, g *graph.Graph, iters int, damping float64, w
 	inAdj := g.InAdjacency()
 	chunks := ChunksFor(n)
 	for it := 0; it < iters; it++ {
-		if err := forChunks(ctx, workers, chunks, func(c int) {
+		if err := ForChunks(ctx, workers, chunks, func(c int) {
 			lo, hi := ChunkRange(n, chunks, c)
 			cs, rs, ds := contrib[lo:hi], rank[lo:hi], invDeg[lo:hi]
 			for i := range cs {
@@ -69,7 +69,7 @@ func PageRank(ctx context.Context, g *graph.Graph, iters int, damping float64, w
 			danglingMass += rank[u]
 		}
 		base := (1-damping)/float64(n) + damping*danglingMass/float64(n)
-		if err := forChunks(ctx, workers, chunks, func(c int) {
+		if err := ForChunks(ctx, workers, chunks, func(c int) {
 			lo, hi := ChunkRange(n, chunks, c)
 			for v := lo; v < hi; v++ {
 				sum := 0.0

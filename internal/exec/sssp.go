@@ -114,7 +114,7 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, weights []int32, src gra
 				sc.relax[c] = sc.relax[c][:0]
 			}
 			relax := sc.relax
-			if err := forChunks(ctx, workers, chunks, func(c int) {
+			if err := ForChunks(ctx, workers, chunks, func(c int) {
 				clo, chi := ChunkRange(len(frontier), chunks, c)
 				buf := relax[c]
 				for _, u := range frontier[clo:chi] {

@@ -56,7 +56,7 @@ func TriangleCount(ctx context.Context, g *graph.Graph, workers int, sc *Scratch
 
 	// Pass 1: count each vertex's higher-rank neighbours.
 	fwdIdx := make([]int64, n+1)
-	if err := forChunks(ctx, workers, chunks, func(c int) {
+	if err := ForChunks(ctx, workers, chunks, func(c int) {
 		lo, hi := ChunkRange(n, chunks, c)
 		for v := lo; v < hi; v++ {
 			cnt := int64(0)
@@ -78,7 +78,7 @@ func TriangleCount(ctx context.Context, g *graph.Graph, workers int, sc *Scratch
 	// Pass 2: fill each vertex's slot (exclusively owned by its chunk)
 	// and sort it by rank, matching the serial forward lists.
 	fwdAdj := make([]graph.NodeID, fwdIdx[n])
-	if err := forChunks(ctx, workers, chunks, func(c int) {
+	if err := ForChunks(ctx, workers, chunks, func(c int) {
 		lo, hi := ChunkRange(n, chunks, c)
 		for v := lo; v < hi; v++ {
 			at := fwdIdx[v]
@@ -96,7 +96,7 @@ func TriangleCount(ctx context.Context, g *graph.Graph, workers int, sc *Scratch
 
 	// Count: per-chunk partial sums, exact integer reduce in chunk order.
 	partial := make([]int64, chunks)
-	if err := forChunks(ctx, workers, chunks, func(c int) {
+	if err := ForChunks(ctx, workers, chunks, func(c int) {
 		lo, hi := ChunkRange(n, chunks, c)
 		var t int64
 		for v := lo; v < hi; v++ {

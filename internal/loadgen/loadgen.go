@@ -188,10 +188,6 @@ func (r *routeRec) record(status int, err error, us int64) {
 		r.netErr++
 	case status == http.StatusTooManyRequests:
 		r.shed++
-	case status == http.StatusNotImplemented:
-		// A capability the deployment lacks (edits without a store), not
-		// an overload failure.
-		r.clientErr++
 	case status >= 500:
 		r.serverErr++
 	case status >= 400:

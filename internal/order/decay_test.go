@@ -87,8 +87,8 @@ func TestScoreDeltaNoOpEditsTolerated(t *testing.T) {
 	g := graph.FromEdgesDedup(6, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}})
 	rng := rand.New(rand.NewSource(11))
 	p := randPerm(rng, 6)
-	phantom := []graph.Edge{{From: 0, To: 1}}          // already present "add"
-	missing := []graph.Edge{{From: 3, To: 4}}          // absent "delete"
+	phantom := []graph.Edge{{From: 0, To: 1}} // already present "add"
+	missing := []graph.Edge{{From: 3, To: 4}} // absent "delete"
 	if d := ScoreDelta(g, g, p, 3, phantom, missing); d != 0 {
 		t.Fatalf("no-op edits produced delta %d", d)
 	}

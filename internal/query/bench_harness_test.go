@@ -45,7 +45,7 @@ func TestQueryLatencyHarness(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.PutGraph("bench", "web", g, g.MemoryBytes()); err != nil {
+	if _, _, err := st.AddGraph("bench", "web", g, g.MemoryBytes()); err != nil {
 		t.Fatal(err)
 	}
 	orderStart := time.Now()

@@ -339,9 +339,6 @@ func TestCorruptTipServesPreviousVersion(t *testing.T) {
 
 // TestMutationValidation covers the endpoint's failure envelopes.
 func TestMutationValidation(t *testing.T) {
-	_, plain := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
-	postEdges(t, plain, "x", editRequest{AddNodes: 1}, http.StatusNotImplemented)
-
 	_, ts := newStoreServer(t, t.TempDir(), 0)
 	postGraph(t, ts, "soc", edgeListBytes(t, gen.BarabasiAlbert(50, 3, 1)))
 	postEdges(t, ts, "nope", editRequest{AddNodes: 1}, http.StatusNotFound)
@@ -363,29 +360,45 @@ func TestMutationValidation(t *testing.T) {
 	}
 }
 
-// TestParseRef pins the version-reference grammar.
-func TestParseRef(t *testing.T) {
-	cases := []struct {
-		ref       string
-		name      string
-		version   int
-		versioned bool
-	}{
-		{"web", "web", 0, false},
-		{"web@latest", "web", 0, true},
-		{"web@v1", "web", 1, true},
-		{"web@v12", "web", 12, true},
-		{"web@v0", "web@v0", 0, false},
-		{"web@", "web@", 0, false},
-		{"@v1", "@v1", 0, false},
-		{"web@vx", "web@vx", 0, false},
-		{"a@b@v2", "a@b", 2, true},
+// TestDefaultServerMutatesAndListsLineage: edits and lineages work on
+// a server built with the default test config; no route depends on a
+// deployment option to exist.
+func TestDefaultServerMutatesAndListsLineage(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
+	g := gen.BarabasiAlbert(200, 3, 9)
+	postGraph(t, ts, "soc", edgeListBytes(t, g))
+	resp := postEdges(t, ts, "soc", growthBatch(g, 5, 2), http.StatusOK)
+	if resp.Graph.Version != 2 || resp.Graph.Latest != 2 || resp.Graph.Nodes != 205 {
+		t.Fatalf("edit built %+v, want v2/2 with 205 nodes", resp.Graph)
 	}
-	for _, c := range cases {
-		name, ver, versioned := parseRef(c.ref)
-		if name != c.name || ver != c.version || versioned != c.versioned {
-			t.Errorf("parseRef(%q) = (%q, %d, %v), want (%q, %d, %v)",
-				c.ref, name, ver, versioned, c.name, c.version, c.versioned)
-		}
+	versions, _ := getLineage(t, ts, "soc")
+	if len(versions) != 2 || versions[1].Digest != resp.Graph.ID {
+		t.Fatalf("lineage = %+v, want two versions tipped by %s", versions, resp.Graph.ID)
+	}
+	if pinned := getGraphInfo(t, ts, "soc@v1", http.StatusOK); pinned.Nodes != 200 {
+		t.Fatalf("soc@v1 has %d nodes, want 200", pinned.Nodes)
+	}
+}
+
+// TestReuploadBecomesLineageTip: re-uploading an earlier version's
+// bytes under the lineage's name makes them the next version, so the
+// name, its reported version and the lineage agree, and the next edit
+// builds on what the name serves.
+func TestReuploadBecomesLineageTip(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
+	g := gen.BarabasiAlbert(200, 3, 9)
+	v1 := postGraph(t, ts, "soc", edgeListBytes(t, g))
+	postEdges(t, ts, "soc", growthBatch(g, 5, 0), http.StatusOK)
+	postGraph(t, ts, "soc", edgeListBytes(t, g))
+
+	tip := getGraphInfo(t, ts, "soc", http.StatusOK)
+	versions, _ := getLineage(t, ts, "soc")
+	if tip.ID != v1.ID || tip.Version != 3 || tip.Latest != 3 ||
+		len(versions) != 3 || versions[2].Digest != v1.ID {
+		t.Fatalf("after re-upload: soc = %+v, lineage %+v; want v1's content as v3", tip, versions)
+	}
+	resp := postEdges(t, ts, "soc", editRequest{AddNodes: 1}, http.StatusOK)
+	if resp.Graph.Version != 4 || resp.Graph.Nodes != 201 {
+		t.Fatalf("next edit built %+v, want v4 with 201 nodes", resp.Graph)
 	}
 }

@@ -363,3 +363,26 @@ func TestQueryBatchEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultServerQueriesOverComputedOrdering: a server built with
+// the default test config serves an explicit-ordering query from the
+// artifact its order job just stored — the reuse the ordering exists
+// for — instead of answering 409 order_not_ready.
+func TestDefaultServerQueriesOverComputedOrdering(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1, QueueDepth: 4}})
+	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(400, 4, 3)))
+	st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "ba", Method: "gorder"}).ID)
+	if st.State != StateDone {
+		t.Fatalf("order job ended %s (%s)", st.State, st.Error)
+	}
+	resp := postQuery(t, ts, query.Request{Graph: "ba", Kernel: "BFS", Order: "gorder"}, http.StatusOK)
+	if resp.Ordering.Method != "gorder" || resp.Ordering.Source != "explicit" {
+		t.Fatalf("ordering = %+v, want the stored gorder artifact", resp.Ordering)
+	}
+	// A query naming no ordering picks the same artifact up as latest.
+	source := 7
+	resp = postQuery(t, ts, query.Request{Graph: "ba", Kernel: "BFS", Source: &source}, http.StatusOK)
+	if resp.Ordering.Method != "gorder" || resp.Ordering.Source != "latest" {
+		t.Fatalf("default ordering = %+v, want latest gorder", resp.Ordering)
+	}
+}

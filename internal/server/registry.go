@@ -4,14 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gorder/internal/cli"
@@ -28,79 +24,52 @@ type GraphInfo struct {
 	Bytes int64     `json:"bytes"` // size of the source file/upload
 	Added time.Time `json:"added"`
 	// Resident reports whether the graph is currently held in memory;
-	// OnDisk whether a persistent blob backs it. A store-less registry
-	// reports resident and not on disk for everything.
+	// OnDisk whether a persistent blob backs it, which every graph in
+	// the store has.
 	Resident bool `json:"resident"`
 	OnDisk   bool `json:"on_disk"`
 	// Lineage/Version/Latest are set when the lookup resolved through
-	// a versioned lineage (a bare name, name@latest, or name@vN with a
-	// store attached): which lineage, which version this info describes,
-	// and the lineage's current tip version.
+	// a versioned lineage (a bare name, name@latest, or name@vN):
+	// which lineage, which version this info describes, and the
+	// lineage's current tip version.
 	Lineage string `json:"lineage,omitempty"`
 	Version int    `json:"version,omitempty"`
 	Latest  int    `json:"latest,omitempty"`
 }
 
-// Registry holds the named graphs the daemon can run jobs against.
-// Graphs are deduplicated by content hash: uploading the same bytes
-// twice (under any name) yields the same ID and stores one copy.
-//
-// With a store attached the registry keeps only the catalog metadata;
-// the graphs themselves live in the store's residency cache (LRU
-// under a byte budget) with their blobs on disk, and survive restarts.
+// infoOf maps a store catalog entry onto the API's graph description.
+func infoOf(m store.GraphMeta) GraphInfo {
+	return GraphInfo{
+		ID: m.Digest, Name: m.Name, Nodes: m.Nodes, Edges: m.Edges,
+		Bytes: m.SrcBytes, Added: m.Added, Resident: m.Resident, OnDisk: true,
+		Lineage: m.Lineage, Version: m.Version, Latest: m.Latest,
+	}
+}
+
+// Registry is the daemon's graph-facing API over the store, which is
+// the only catalog: graphs, names and lineages live in its manifest,
+// the graphs themselves in its residency cache (LRU under a byte
+// budget) with their blobs on disk, so they survive restarts. Graphs
+// are deduplicated by content hash: uploading the same bytes twice
+// (under any name) yields the same ID and stores one copy.
 type Registry struct {
-	mu     sync.RWMutex
-	byID   map[string]*regEntry
-	byName map[string]string // latest name -> id
-	store  *store.Store      // nil: graphs pinned in memory below
-	graphs *Counter          // registered graph count (metric)
-	bytes  *Counter          // cumulative accepted upload bytes (metric)
+	store *store.Store
+	bytes *Counter // cumulative accepted upload bytes (metric)
 
 	ingests      *Counter // parses performed (dedup hits excluded)
 	ingestMillis *Counter // cumulative parse+build wall time, ms
 	ingestEdges  *Counter // cumulative edges ingested
 }
 
-type regEntry struct {
-	info GraphInfo
-	g    *graph.Graph // nil when a store holds the graph
-}
-
-// NewRegistry returns an empty registry wired to m's metrics.
-func NewRegistry(m *Metrics) *Registry {
+// NewRegistry returns a registry over st wired to m's metrics.
+func NewRegistry(m *Metrics, st *store.Store) *Registry {
+	m.Func("graphs_loaded", st.GraphCount)
 	return &Registry{
-		byID:         make(map[string]*regEntry),
-		byName:       make(map[string]string),
-		graphs:       m.Counter("graphs_loaded"),
+		store:        st,
 		bytes:        m.Counter("graphs_bytes_accepted"),
 		ingests:      m.Counter("ingest_total"),
 		ingestMillis: m.Counter("ingest_ms_total"),
 		ingestEdges:  m.Counter("ingest_edges_total"),
-	}
-}
-
-// AttachStore backs the registry with st: graphs already in the store
-// are registered (metadata only — they become resident on first use)
-// and future Adds persist through it. Call before serving traffic.
-func (r *Registry) AttachStore(st *store.Store) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.store = st
-	for _, meta := range st.Catalog() {
-		r.byID[meta.Digest] = &regEntry{info: GraphInfo{
-			ID:    meta.Digest,
-			Name:  meta.Name,
-			Nodes: meta.Nodes,
-			Edges: meta.Edges,
-			Bytes: meta.SrcBytes,
-			Added: meta.Added,
-		}}
-		r.graphs.Inc()
-	}
-	for name, digest := range st.Names() {
-		if _, ok := r.byID[digest]; ok {
-			r.byName[name] = digest
-		}
 	}
 }
 
@@ -115,114 +84,44 @@ func graphID(data []byte) string {
 // Add parses data (binary CSR or text edge list, sniffed) and
 // registers it under name. If the identical bytes are already
 // registered the existing entry is returned with created == false and
-// the name is added as an alias.
+// becomes the name's tip; the bytes are not parsed again.
 func (r *Registry) Add(name string, data []byte) (GraphInfo, bool, error) {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return GraphInfo{}, false, fmt.Errorf("graph name is required")
-	}
 	id := graphID(data)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.byID[id]; ok {
-		r.byName[name] = id
-		if r.store != nil {
-			if err := r.store.SetName(name, id); err != nil {
-				return GraphInfo{}, false, fmt.Errorf("recording alias %q: %w", name, err)
-			}
-		}
-		return r.annotateLocked(e.info), false, nil
+	if m, ok := r.store.Stat(id); ok && m.Digest == id {
+		return r.AddParsed(name, id, nil, int64(len(data)), 0)
 	}
 	start := time.Now()
 	g, err := cli.ReadGraphBytes(data)
 	if err != nil {
 		return GraphInfo{}, false, fmt.Errorf("parsing graph %q: %w", name, err)
 	}
-	r.ingests.Inc()
-	r.ingestMillis.Add(time.Since(start).Milliseconds())
-	r.ingestEdges.Add(g.NumEdges())
-	info := GraphInfo{
-		ID:    id,
-		Name:  name,
-		Nodes: g.NumNodes(),
-		Edges: g.NumEdges(),
-		Bytes: int64(len(data)),
-		Added: time.Now().UTC(),
-	}
-	e := &regEntry{info: info}
-	if r.store != nil {
-		// Persist before registering: an upload either lands durably or
-		// fails visibly, never registers RAM-only by accident.
-		if err := r.store.PutGraph(id, name, g, int64(len(data))); err != nil {
-			return GraphInfo{}, false, err
-		}
-	} else {
-		e.g = g
-	}
-	r.byID[id] = e
-	r.byName[name] = id
-	r.graphs.Inc()
-	r.bytes.Add(int64(len(data)))
-	return r.annotateLocked(info), true, nil
+	return r.AddParsed(name, id, g, int64(len(data)), time.Since(start))
 }
 
 // AddParsed registers an already-parsed graph under name with the
 // given content digest — the streaming upload path, where the body was
 // hashed and parsed incrementally and never existed as one buffer.
-// Semantics match Add on the same bytes: identical content (by digest)
-// deduplicates to the existing entry with created == false.
+// Identical content (by digest) deduplicates to the existing entry
+// with created == false; g is not read then and may be nil. Either
+// way the graph becomes the tip of name's lineage. A new graph is
+// persisted before it is reported, so an upload either lands durably
+// or fails visibly.
 func (r *Registry) AddParsed(name, id string, g *graph.Graph, srcBytes int64, parse time.Duration) (GraphInfo, bool, error) {
 	name = strings.TrimSpace(name)
 	if name == "" {
 		return GraphInfo{}, false, fmt.Errorf("graph name is required")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.byID[id]; ok {
-		r.byName[name] = id
-		if r.store != nil {
-			if err := r.store.SetName(name, id); err != nil {
-				return GraphInfo{}, false, fmt.Errorf("recording alias %q: %w", name, err)
-			}
-		}
-		return r.annotateLocked(e.info), false, nil
+	m, created, err := r.store.AddGraph(id, name, g, srcBytes)
+	if err != nil {
+		return GraphInfo{}, false, err
 	}
-	r.ingests.Inc()
-	r.ingestMillis.Add(parse.Milliseconds())
-	r.ingestEdges.Add(g.NumEdges())
-	info := GraphInfo{
-		ID:    id,
-		Name:  name,
-		Nodes: g.NumNodes(),
-		Edges: g.NumEdges(),
-		Bytes: srcBytes,
-		Added: time.Now().UTC(),
+	if created {
+		r.ingests.Inc()
+		r.ingestMillis.Add(parse.Milliseconds())
+		r.ingestEdges.Add(g.NumEdges())
+		r.bytes.Add(srcBytes)
 	}
-	e := &regEntry{info: info}
-	if r.store != nil {
-		if err := r.store.PutGraph(id, name, g, srcBytes); err != nil {
-			return GraphInfo{}, false, err
-		}
-	} else {
-		e.g = g
-	}
-	r.byID[id] = e
-	r.byName[name] = id
-	r.graphs.Inc()
-	r.bytes.Add(srcBytes)
-	return r.annotateLocked(info), true, nil
-}
-
-// annotateLocked fills the dynamic residency fields of an info
-// snapshot.
-func (r *Registry) annotateLocked(info GraphInfo) GraphInfo {
-	if r.store == nil {
-		info.Resident, info.OnDisk = true, false
-	} else {
-		info.Resident, info.OnDisk = r.store.Resident(info.ID), true
-	}
-	return info
+	return infoOf(m), created, nil
 }
 
 // graphFileExts are the dataset filename extensions LoadDir accepts.
@@ -256,186 +155,58 @@ func (r *Registry) LoadDir(dir string) (int, error) {
 	return loaded, nil
 }
 
-// parseRef splits a version-qualified graph reference: "name@vN"
-// pins version N, "name@latest" follows the tip (same as the bare
-// name, but explicit). Anything without a well-formed qualifier is a
-// plain reference (versioned reports false) and resolves as before —
-// digest first, then name — so names containing '@' that never meant
-// a version keep working.
-func parseRef(ref string) (name string, version int, versioned bool) {
-	i := strings.LastIndexByte(ref, '@')
-	if i <= 0 || i == len(ref)-1 {
-		return ref, 0, false
-	}
-	name, tag := ref[:i], ref[i+1:]
-	if tag == "latest" {
-		return name, 0, true
-	}
-	if strings.HasPrefix(tag, "v") {
-		if n, err := strconv.Atoi(tag[1:]); err == nil && n >= 1 {
-			return name, n, true
-		}
-	}
-	return ref, 0, false
-}
-
-// resolveLocked maps a reference to its entry: a registered digest, a
-// version-qualified lineage member (store required), or a name — in
-// that order. Lineage-resolved lookups also report which lineage and
-// version the reference landed on.
-func (r *Registry) resolveLocked(ref string) (*regEntry, GraphInfo, bool) {
-	if e, ok := r.byID[ref]; ok {
-		return e, e.info, true
-	}
-	name, want, versioned := parseRef(ref)
-	if versioned && r.store != nil {
-		digest, resolved, latest, err := r.store.ResolveVersion(name, want)
-		if err == nil {
-			if e, ok := r.byID[digest]; ok {
-				info := e.info
-				info.Lineage, info.Version, info.Latest = name, resolved, latest
-				return e, info, true
-			}
-		}
-		return nil, GraphInfo{}, false
-	}
-	if id, named := r.byName[ref]; named {
-		if e, ok := r.byID[id]; ok {
-			info := e.info
-			if r.store != nil {
-				if _, resolved, latest, err := r.store.ResolveVersion(ref, 0); err == nil {
-					info.Lineage, info.Version, info.Latest = ref, resolved, latest
-				}
-			}
-			return e, info, true
-		}
-	}
-	return nil, GraphInfo{}, false
-}
-
 // Stat resolves a graph's metadata by ID, version reference
 // (name@vN, name@latest), or name — without loading an evicted graph
 // back into memory. Use this for validation and listing; Get for
 // actually running against the graph.
 func (r *Registry) Stat(ref string) (GraphInfo, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, info, ok := r.resolveLocked(ref)
+	m, ok := r.store.Stat(ref)
 	if !ok {
 		return GraphInfo{}, false
 	}
-	return r.annotateLocked(info), true
+	return infoOf(m), true
 }
 
-// Get resolves a graph by ID, version reference, or name. With a
-// store attached this may reload an evicted graph from disk; a graph
-// whose blob turns out corrupt is deregistered (the store already
-// dropped the blob and healed any lineage it tipped) and reported as
-// absent, so the content can be re-uploaded.
+// Get resolves a graph by ID, version reference, or name, reloading
+// an evicted graph from disk. A graph whose blob turns out corrupt is
+// dropped by the store (which heals any lineage it tipped) and
+// reported as absent, so the content can be re-uploaded.
 func (r *Registry) Get(ref string) (*graph.Graph, GraphInfo, bool) {
-	r.mu.RLock()
-	e, info, ok := r.resolveLocked(ref)
-	if !ok {
-		r.mu.RUnlock()
+	g, m, err := r.store.Load(ref)
+	if err != nil {
 		return nil, GraphInfo{}, false
 	}
-	if r.store == nil {
-		g := e.g
-		r.mu.RUnlock()
-		return g, info, true
-	}
-	r.mu.RUnlock()
-
-	g, err := r.store.GetGraph(info.ID)
-	if err != nil {
-		if errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrUnknownGraph) {
-			r.drop(info.ID)
-		}
-		return nil, info, false
-	}
-	return g, info, true
+	return g, infoOf(m), true
 }
 
 // Advance registers g as the next version of the named lineage — the
 // mutation path behind POST /graphs/{name}/edges. The graph is
 // serialized to derive its content digest (the same ID an upload of
 // those bytes would get), appended to the store lineage, and the name
-// repointed at the new tip. Requires a store: version history has to
-// live somewhere that survives restarts.
+// repointed at the new tip.
 func (r *Registry) Advance(name string, g *graph.Graph) (GraphInfo, error) {
-	if r.store == nil {
-		return GraphInfo{}, fmt.Errorf("versioned mutation requires a persistent store")
-	}
 	var buf bytes.Buffer
 	if err := g.WriteBinary(&buf); err != nil {
 		return GraphInfo{}, fmt.Errorf("serializing mutated graph: %w", err)
 	}
 	data := buf.Bytes()
 	id := graphID(data)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	ver, err := r.store.AppendVersion(name, id, g, int64(len(data)))
 	if err != nil {
 		return GraphInfo{}, err
 	}
-	e, ok := r.byID[id]
-	if !ok {
-		e = &regEntry{info: GraphInfo{
-			ID:    id,
-			Name:  name,
-			Nodes: g.NumNodes(),
-			Edges: g.NumEdges(),
-			Bytes: int64(len(data)),
-			Added: time.Now().UTC(),
-		}}
-		r.byID[id] = e
-		r.graphs.Inc()
-		r.bytes.Add(int64(len(data)))
-	}
-	r.byName[name] = id
-	info := e.info
+	r.bytes.Add(int64(len(data)))
+	info, _ := r.Stat(id)
 	info.Lineage, info.Version, info.Latest = name, ver, ver
-	return r.annotateLocked(info), nil
-}
-
-// drop removes a graph the store can no longer serve. Names that
-// pointed at it follow their lineage's healed tip (the store repoints
-// lineages when it drops a blob) instead of vanishing, so a corrupt
-// tip degrades a name to the previous version rather than a 404.
-func (r *Registry) drop(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.byID, id)
-	for name, d := range r.byName {
-		if d != id {
-			continue
-		}
-		if r.store != nil {
-			if tip, _, _, err := r.store.ResolveVersion(name, 0); err == nil {
-				if _, ok := r.byID[tip]; ok {
-					r.byName[name] = tip
-					continue
-				}
-			}
-		}
-		delete(r.byName, name)
-	}
+	return info, nil
 }
 
 // List returns every registered graph, sorted by name then ID.
 func (r *Registry) List() []GraphInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]GraphInfo, 0, len(r.byID))
-	for _, e := range r.byID {
-		out = append(out, r.annotateLocked(e.info))
+	cat := r.store.Catalog()
+	out := make([]GraphInfo, len(cat))
+	for i, m := range cat {
+		out[i] = infoOf(m)
 	}
-	slices.SortFunc(out, func(a, b GraphInfo) int {
-		if c := strings.Compare(a.Name, b.Name); c != 0 {
-			return c
-		}
-		return strings.Compare(a.ID, b.ID)
-	})
 	return out
 }

@@ -19,9 +19,24 @@ import (
 	"gorder/internal/store"
 )
 
-// newTestServer builds a started server + httptest frontend.
+// testStore opens a store in a fresh temp dir, closed at cleanup.
+func testStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// newTestServer builds a started server + httptest frontend, over a
+// fresh temp-dir store unless cfg names one.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	if cfg.Store == nil {
+		cfg.Store = testStore(t)
+	}
 	s := New(cfg)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -400,7 +415,7 @@ func TestShutdownPersistsQueuedJobs(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "queued.json")
 
-	s := New(Config{Pool: PoolConfig{Workers: 1, QueueDepth: 16, DefaultTimeout: 30 * time.Second}})
+	s := New(Config{Pool: PoolConfig{Workers: 1, QueueDepth: 16, DefaultTimeout: 30 * time.Second}, Store: testStore(t)})
 	s.Start()
 	data := edgeListBytes(t, gen.BarabasiAlbert(20000, 8, 2))
 	if _, _, err := s.Reg.Add("big", data); err != nil {
@@ -455,7 +470,7 @@ func TestShutdownPersistsQueuedJobs(t *testing.T) {
 	}
 
 	// A fresh server replays the manifest.
-	s2 := New(Config{Pool: PoolConfig{Workers: 2, QueueDepth: 16}})
+	s2 := New(Config{Pool: PoolConfig{Workers: 2, QueueDepth: 16}, Store: testStore(t)})
 	s2.Start()
 	defer s2.DrainAndPersist(5*time.Second, "")
 	if _, _, err := s2.Reg.Add("big", data); err != nil {
@@ -467,7 +482,7 @@ func TestShutdownPersistsQueuedJobs(t *testing.T) {
 }
 
 func TestReplaySkipsUnknownGraphs(t *testing.T) {
-	s := New(Config{Pool: PoolConfig{Workers: 1}})
+	s := New(Config{Pool: PoolConfig{Workers: 1}, Store: testStore(t)})
 	s.Start()
 	defer s.DrainAndPersist(time.Second, "")
 	n := s.Replay([]JobRequest{{Kind: KindOrder, Graph: "ghost", Method: "rcm"}})

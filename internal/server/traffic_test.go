@@ -94,7 +94,7 @@ func TestStreamingUploadParity(t *testing.T) {
 	postQuery(t, ts, query.Request{Graph: "text", Kernel: "BFS"}, http.StatusOK)
 }
 
-// TestUploadBodyCap: a body over -max-upload-bytes gets a clean 413
+// TestUploadBodyCap: a body over -max-upload gets a clean 413
 // envelope — even though the limit fires mid-stream — and the daemon
 // keeps serving smaller uploads afterwards.
 func TestUploadBodyCap(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -39,19 +40,19 @@ type VersionInfo struct {
 // Quality is the exported view of a lineage's ordering-quality state.
 // The zero Method means no ordering has been recorded yet.
 type Quality struct {
-	Method      string
-	OptKey      string
-	OptionsJSON string
-	Window      int
-	BaseF       int64
-	BaseEdges   int64
-	BasePacking float64
-	CurF        int64
-	CurEdges    int64
-	CurPacking  float64
-	CleanNodes  int
-	Repairs     int
-	Dirty       []graph.NodeID
+	Method        string
+	OptKey        string
+	OptionsJSON   string
+	Window        int
+	BaseF         int64
+	BaseEdges     int64
+	BasePacking   float64
+	CurF          int64
+	CurEdges      int64
+	CurPacking    float64
+	CleanNodes    int
+	Repairs       int
+	Dirty         []graph.NodeID
 	DirtyOverflow bool
 }
 
@@ -85,14 +86,18 @@ type OrderKey struct {
 }
 
 // AppendVersion persists g as the next version of the named lineage:
-// the blob is stored content-addressed under digest exactly like
-// PutGraph, the lineage gains a version entry, and the name alias
+// the blob is stored content-addressed under digest (unless it already
+// is), the lineage gains a version entry, and the name alias
 // moves to the new tip. Appending the digest already at the tip is a
 // no-op (idempotent replays). The lineage is created if the name is
 // new. Returns the 1-based version number now at the tip.
 func (s *Store) AppendVersion(name, digest string, g *graph.Graph, srcBytes int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.appendVersionLocked(name, digest, g, srcBytes)
+}
+
+func (s *Store) appendVersionLocked(name, digest string, g *graph.Graph, srcBytes int64) (int, error) {
 	lin := s.man.Lineages[name]
 	if lin == nil {
 		lin = &lineageRec{}
@@ -112,6 +117,29 @@ func (s *Store) AppendVersion(name, digest string, g *graph.Graph, srcBytes int6
 		return 0, err
 	}
 	return len(lin.Versions), nil
+}
+
+// ParseRef splits a version-qualified graph reference: "name@vN"
+// pins version N, "name@latest" follows the tip (same as the bare
+// name, but explicit). Anything without a well-formed qualifier is a
+// plain reference (versioned reports false), resolved digest first,
+// then name — so names containing '@' that never meant a version keep
+// working.
+func ParseRef(ref string) (name string, version int, versioned bool) {
+	i := strings.LastIndexByte(ref, '@')
+	if i <= 0 || i == len(ref)-1 {
+		return ref, 0, false
+	}
+	name, tag := ref[:i], ref[i+1:]
+	if tag == "latest" {
+		return name, 0, true
+	}
+	if strings.HasPrefix(tag, "v") {
+		if n, err := strconv.Atoi(tag[1:]); err == nil && n >= 1 {
+			return name, n, true
+		}
+	}
+	return ref, 0, false
 }
 
 // ResolveVersion maps (name, version) to a digest. version 0 means
@@ -246,7 +274,7 @@ func (s *Store) OrdersFor(digest string) []OrderKey {
 }
 
 // writeGraphBlobLocked persists g's CSR blob and manifest record under
-// digest — the shared write path of PutGraph and AppendVersion.
+// digest — the write path of AddGraph and AppendVersion.
 func (s *Store) writeGraphBlobLocked(digest, name string, g *graph.Graph, srcBytes int64) error {
 	var fileBytes int64
 	sum := crc32.NewIEEE()

@@ -53,8 +53,8 @@ func TestLineageAppendAndResolve(t *testing.T) {
 		t.Fatalf("version metadata %+v", info.Versions)
 	}
 	// The name alias follows the tip (upload/registry paths read it).
-	if s.Names()["social"] != "d2" {
-		t.Fatalf("name alias = %q, want d2", s.Names()["social"])
+	if nameOf(s, "social") != "d2" {
+		t.Fatalf("name alias = %q, want d2", nameOf(s, "social"))
 	}
 }
 
@@ -62,15 +62,30 @@ func TestPutGraphExtendsLineage(t *testing.T) {
 	// Re-uploading different content under an existing name is a new
 	// version, not a silent alias re-point.
 	s := open(t, t.TempDir(), 0)
-	if err := s.PutGraph("d1", "g", gen.Ring(8), 1); err != nil {
+	if _, _, err := s.AddGraph("d1", "g", gen.Ring(8), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutGraph("d2", "g", gen.Ring(9), 1); err != nil {
+	if _, _, err := s.AddGraph("d2", "g", gen.Ring(9), 1); err != nil {
 		t.Fatal(err)
 	}
 	info, ok := s.Lineage("g")
 	if !ok || len(info.Versions) != 2 || info.Versions[1].Digest != "d2" {
 		t.Fatalf("lineage after re-upload: %+v ok=%v", info, ok)
+	}
+	// Stored content again deduplicates — the graph is not needed —
+	// but still becomes the named lineage's tip.
+	m, created, err := s.AddGraph("d1", "copy", nil, 1)
+	if err != nil || created || m.Digest != "d1" || nameOf(s, "copy") != "d1" {
+		t.Fatalf("dedup add = %+v created=%v err=%v", m, created, err)
+	}
+	if _, _, err := s.AddGraph("d1", "g", nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if tip, ok := s.Stat("g"); !ok || tip.Digest != "d1" || tip.Version != 3 || tip.Latest != 3 {
+		t.Fatalf("re-upload of v1 content: g = %+v ok=%v, want d1 as v3/3", tip, ok)
+	}
+	if _, _, err := s.AddGraph("d3", "g", nil, 1); !errors.Is(err, ErrUnknownGraph) {
+		t.Fatalf("new content without a graph: err = %v, want ErrUnknownGraph", err)
 	}
 }
 
@@ -163,7 +178,7 @@ func TestLineageCorruptTipHealsToPrevious(t *testing.T) {
 		delete(s.resident, "d2")
 	}
 	s.mu.Unlock()
-	if _, err := s.GetGraph("d2"); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := s.Load("d2"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt tip err = %v", err)
 	}
 
@@ -171,13 +186,13 @@ func TestLineageCorruptTipHealsToPrevious(t *testing.T) {
 	if !ok || len(info.Versions) != 1 || info.Versions[0].Digest != "d1" {
 		t.Fatalf("lineage after corrupt tip: %+v ok=%v", info, ok)
 	}
-	if s.Names()["g"] != "d1" {
-		t.Fatalf("name points at %q, want healed tip d1", s.Names()["g"])
+	if nameOf(s, "g") != "d1" {
+		t.Fatalf("name points at %q, want healed tip d1", nameOf(s, "g"))
 	}
 	if _, ok := s.GetQuality("g"); ok {
 		t.Fatal("stale quality record survived the healed tip")
 	}
-	if got, err := s.GetGraph("d1"); err != nil || !g1.Equal(got) {
+	if got, _, err := s.Load("d1"); err != nil || !g1.Equal(got) {
 		t.Fatalf("previous version unusable after heal: %v", err)
 	}
 	digest, resolved, latest, err := s.ResolveVersion("g", 0)
@@ -212,8 +227,8 @@ func TestLineageOpenHealsMissingTip(t *testing.T) {
 	if !ok || len(info.Versions) != 2 || info.Versions[1].Digest != "d2" {
 		t.Fatalf("lineage after missing tip: %+v ok=%v", info, ok)
 	}
-	if s2.Names()["g"] != "d2" {
-		t.Fatalf("name points at %q, want d2", s2.Names()["g"])
+	if nameOf(s2, "g") != "d2" {
+		t.Fatalf("name points at %q, want d2", nameOf(s2, "g"))
 	}
 	// A middle version vanishing closes the hole but keeps the tip.
 	if err := s2.Close(); err != nil {
@@ -227,8 +242,8 @@ func TestLineageOpenHealsMissingTip(t *testing.T) {
 	if !ok || len(info.Versions) != 1 || info.Versions[0].Digest != "d2" {
 		t.Fatalf("lineage after missing middle: %+v ok=%v", info, ok)
 	}
-	if s3.Names()["g"] != "d2" {
-		t.Fatalf("name points at %q, want d2", s3.Names()["g"])
+	if nameOf(s3, "g") != "d2" {
+		t.Fatalf("name points at %q, want d2", nameOf(s3, "g"))
 	}
 }
 
@@ -301,5 +316,85 @@ func TestLatestOrderTieBreaking(t *testing.T) {
 	s.mu.Unlock()
 	if m, _, ok := s.LatestOrder("d1", ""); !ok || m != "amethod" {
 		t.Fatalf("last-access chose %q, want amethod", m)
+	}
+}
+
+// TestStatResolvesReferences pins the catalog's reference order:
+// digest, then version reference, then name — each in one lookup, with
+// lineage fields set only when a lineage answered.
+func TestStatResolvesReferences(t *testing.T) {
+	s := open(t, t.TempDir(), 0)
+	if _, err := s.AppendVersion("soc", "d1", gen.Ring(8), 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendVersion("soc", "d2", gen.Ring(12), 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.AddGraph("d1", "alias", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		ref             string
+		digest, lineage string
+		version, latest int
+	}{
+		{"d1", "d1", "", 0, 0},
+		{"soc", "d2", "soc", 2, 2},
+		{"soc@latest", "d2", "soc", 2, 2},
+		{"soc@v1", "d1", "soc", 1, 2},
+		{"alias", "d1", "alias", 1, 1},
+	}
+	for _, c := range cases {
+		m, ok := s.Stat(c.ref)
+		if !ok || m.Digest != c.digest || m.Lineage != c.lineage ||
+			m.Version != c.version || m.Latest != c.latest {
+			t.Errorf("Stat(%q) = %+v ok=%v, want %s %s v%d/%d",
+				c.ref, m, ok, c.digest, c.lineage, c.version, c.latest)
+		}
+		if !m.Resident {
+			t.Errorf("Stat(%q): freshly written graph not reported resident", c.ref)
+		}
+	}
+	for _, ref := range []string{"soc@v3", "nope", "nope@latest"} {
+		if m, ok := s.Stat(ref); ok {
+			t.Errorf("Stat(%q) resolved to %+v", ref, m)
+		}
+		if _, _, err := s.Load(ref); !errors.Is(err, ErrUnknownGraph) {
+			t.Errorf("Load(%q) err = %v, want ErrUnknownGraph", ref, err)
+		}
+	}
+	g, m, err := s.Load("soc@v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 8 || m.Version != 1 {
+		t.Fatalf("Load(soc@v1) = %d nodes %+v", g.NumNodes(), m)
+	}
+}
+
+// TestParseRef pins the version-reference grammar.
+func TestParseRef(t *testing.T) {
+	cases := []struct {
+		ref       string
+		name      string
+		version   int
+		versioned bool
+	}{
+		{"web", "web", 0, false},
+		{"web@latest", "web", 0, true},
+		{"web@v1", "web", 1, true},
+		{"web@v12", "web", 12, true},
+		{"web@v0", "web@v0", 0, false},
+		{"web@", "web@", 0, false},
+		{"@v1", "@v1", 0, false},
+		{"web@vx", "web@vx", 0, false},
+		{"a@b@v2", "a@b", 2, true},
+	}
+	for _, c := range cases {
+		name, ver, versioned := ParseRef(c.ref)
+		if name != c.name || ver != c.version || versioned != c.versioned {
+			t.Errorf("ParseRef(%q) = (%q, %d, %v), want (%q, %d, %v)",
+				c.ref, name, ver, versioned, c.name, c.version, c.versioned)
+		}
 	}
 }

@@ -71,6 +71,14 @@ type GraphMeta struct {
 	SrcBytes  int64 // size of the original upload
 	FileBytes int64 // size of the CSR blob on disk
 	Added     time.Time
+	Resident  bool // held in memory at the time of the lookup
+	// Lineage, Version and Latest are set when Stat or Load resolved
+	// the reference through a lineage (a bare name, name@latest, or
+	// name@vN): which lineage, which version this entry is, and the
+	// lineage's tip version.
+	Lineage string
+	Version int
+	Latest  int
 }
 
 // residentGraph is one in-memory graph plus its LRU bookkeeping.
@@ -187,16 +195,13 @@ func (s *Store) saveManifestLocked() error {
 // ---- graph blobs and residency ------------------------------------------
 
 // Catalog returns every stored graph's metadata, sorted by name then
-// digest — the restart path the daemon rebuilds its registry from.
+// digest — the listing GET /graphs serves.
 func (s *Store) Catalog() []GraphMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]GraphMeta, 0, len(s.man.Graphs))
-	for digest, rec := range s.man.Graphs {
-		out = append(out, GraphMeta{
-			Digest: digest, Name: rec.Name, Nodes: rec.Nodes, Edges: rec.Edges,
-			SrcBytes: rec.SrcBytes, FileBytes: rec.FileBytes, Added: rec.Added,
-		})
+	for digest := range s.man.Graphs {
+		out = append(out, s.metaLocked(digest))
 	}
 	slices.SortFunc(out, func(a, b GraphMeta) int {
 		if c := strings.Compare(a.Name, b.Name); c != 0 {
@@ -207,97 +212,126 @@ func (s *Store) Catalog() []GraphMeta {
 	return out
 }
 
-// Names returns the name -> digest aliases recorded in the manifest.
-func (s *Store) Names() map[string]string {
+// AddGraph registers an upload of the content hashed to digest under
+// name: the name's lineage gains it as the next version (a no-op when
+// it already is the tip), exactly like AppendVersion. Content already
+// stored is deduplicated — its blob is not rewritten and g is not read
+// (it may be nil). Reports the catalog entry and whether the content
+// was new.
+func (s *Store) AddGraph(digest, name string, g *graph.Graph, srcBytes int64) (GraphMeta, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.man.Names))
-	for name, digest := range s.man.Names {
-		out[name] = digest
+	_, stored := s.man.Graphs[digest]
+	if !stored && g == nil {
+		return GraphMeta{}, false, fmt.Errorf("%w: %s", ErrUnknownGraph, digest)
 	}
-	return out
+	if _, err := s.appendVersionLocked(name, digest, g, srcBytes); err != nil {
+		return GraphMeta{}, false, err
+	}
+	return s.metaLocked(digest), !stored, nil
 }
 
-// PutGraph persists g under digest (the content hash of the source
-// bytes), records name as an alias, and makes the graph resident.
-// Blobs stay immutable and content-addressed; the name, however, is a
-// lineage — uploading different content under an existing name appends
-// a new version to it, exactly like AppendVersion.
-func (s *Store) PutGraph(digest, name string, g *graph.Graph, srcBytes int64) error {
-	_, err := s.AppendVersion(name, digest, g, srcBytes)
-	return err
-}
-
-// SetName records (or re-points) a name alias for an existing digest.
-func (s *Store) SetName(name, digest string) error {
+// Stat resolves ref to its catalog entry without loading the graph.
+// A reference is a digest, a version reference (name@vN, name@latest),
+// or a name, tried in that order; see ParseRef.
+func (s *Store) Stat(ref string) (GraphMeta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.man.Graphs[digest]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownGraph, digest)
-	}
-	s.man.Names[name] = digest
-	return s.saveManifestLocked()
+	return s.statLocked(ref)
 }
 
-// GetGraph returns the graph stored under digest: from residency when
-// warm, otherwise reloaded from its blob (and re-admitted under the
-// budget). A blob that fails integrity checks is dropped from the
-// store and reported as ErrCorrupt.
-func (s *Store) GetGraph(digest string) (*graph.Graph, error) {
+// Load resolves ref like Stat and returns its graph with the catalog
+// entry: from residency when warm, otherwise reloaded from its blob
+// (and re-admitted under the budget). A blob that fails integrity
+// checks is dropped from the store — its lineages heal to their
+// previous versions — and reported as ErrCorrupt.
+func (s *Store) Load(ref string) (*graph.Graph, GraphMeta, error) {
 	s.mu.Lock()
+	meta, ok := s.statLocked(ref)
+	if !ok {
+		s.mu.Unlock()
+		return nil, GraphMeta{}, fmt.Errorf("%w: %s", ErrUnknownGraph, ref)
+	}
+	digest := meta.Digest
 	if rg, ok := s.resident[digest]; ok {
 		s.lruSeq++
 		rg.seq = s.lruSeq
 		g := rg.g
 		s.mu.Unlock()
-		return g, nil
+		return g, meta, nil
 	}
-	rec, ok := s.man.Graphs[digest]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrUnknownGraph, digest)
-	}
-	rec.LastAccess = time.Now().UTC()
+	s.man.Graphs[digest].LastAccess = time.Now().UTC()
 	s.mu.Unlock()
 
 	data, err := os.ReadFile(s.graphPath(digest))
 	if err != nil {
 		s.dropGraph(digest)
-		return nil, fmt.Errorf("%w: graph %s: %v", ErrCorrupt, digest, err)
+		return nil, meta, fmt.Errorf("%w: graph %s: %v", ErrCorrupt, digest, err)
 	}
 	g, err := graph.ReadBinaryBytes(data)
 	if err != nil {
 		if errors.Is(err, graph.ErrBadMagic) {
 			// Format mismatch, not bit rot: the blob was never a gorder
 			// binary graph. Leave it for inspection.
-			return nil, fmt.Errorf("store: graph %s blob has a foreign format: %w", digest, err)
+			return nil, meta, fmt.Errorf("store: graph %s blob has a foreign format: %w", digest, err)
 		}
 		// Truncation or checksum mismatch: the blob is damaged. Drop it
 		// so the content can be re-uploaded under the same digest.
 		s.dropGraph(digest)
-		return nil, fmt.Errorf("%w: graph %s: %v", ErrCorrupt, digest, err)
+		return nil, meta, fmt.Errorf("%w: graph %s: %v", ErrCorrupt, digest, err)
 	}
 	s.reloads.Add(1)
 	s.mu.Lock()
 	s.admitLocked(digest, g)
 	s.mu.Unlock()
-	return g, nil
+	return g, meta, nil
 }
 
-// Resident reports whether digest's graph is currently in memory.
-func (s *Store) Resident(digest string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.resident[digest]
-	return ok
+// statLocked is Stat's resolution under s.mu.
+func (s *Store) statLocked(ref string) (GraphMeta, bool) {
+	if _, ok := s.man.Graphs[ref]; ok {
+		return s.metaLocked(ref), true
+	}
+	name, version, versioned := ParseRef(ref)
+	lin := s.man.Lineages[name]
+	var digest string
+	if versioned {
+		if lin == nil || len(lin.Versions) == 0 || version > len(lin.Versions) {
+			return GraphMeta{}, false
+		}
+		if version == 0 {
+			version = len(lin.Versions)
+		}
+		digest = lin.Versions[version-1]
+	} else {
+		d, ok := s.man.Names[name]
+		if !ok {
+			return GraphMeta{}, false
+		}
+		digest = d
+		if lin != nil {
+			version = len(lin.Versions)
+		}
+	}
+	if _, ok := s.man.Graphs[digest]; !ok {
+		return GraphMeta{}, false
+	}
+	meta := s.metaLocked(digest)
+	if version > 0 {
+		meta.Lineage, meta.Version, meta.Latest = name, version, len(lin.Versions)
+	}
+	return meta, true
 }
 
-// Has reports whether digest has a stored blob.
-func (s *Store) Has(digest string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.man.Graphs[digest]
-	return ok
+// metaLocked builds the catalog entry of a stored digest.
+func (s *Store) metaLocked(digest string) GraphMeta {
+	rec := s.man.Graphs[digest]
+	_, resident := s.resident[digest]
+	return GraphMeta{
+		Digest: digest, Name: rec.Name, Nodes: rec.Nodes, Edges: rec.Edges,
+		SrcBytes: rec.SrcBytes, FileBytes: rec.FileBytes, Added: rec.Added,
+		Resident: resident,
+	}
 }
 
 // admitLocked makes g resident and evicts least-recently-used others

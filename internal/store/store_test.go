@@ -22,26 +22,38 @@ func open(t *testing.T, dir string, budget int64) *Store {
 	return s
 }
 
+// resident reports whether ref's graph is held in memory.
+func resident(s *Store, ref string) bool {
+	m, _ := s.Stat(ref)
+	return m.Resident
+}
+
+// nameOf returns the digest name resolves to ("" if none).
+func nameOf(s *Store, name string) string {
+	m, _ := s.Stat(name)
+	return m.Digest
+}
+
 func TestStorePutGetRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	g := gen.Ring(32)
-	if err := s.PutGraph("d1", "ring32", g, 100); err != nil {
+	if _, _, err := s.AddGraph("d1", "ring32", g, 100); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Resident("d1") {
+	if !resident(s, "d1") {
 		t.Error("freshly put graph not resident")
 	}
-	got, err := s.GetGraph("d1")
+	got, _, err := s.Load("d1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !g.Equal(got) {
-		t.Error("GetGraph returned a different graph")
+		t.Error("Load returned a different graph")
 	}
 	if s.Reloads() != 0 {
 		t.Errorf("resident hit counted %d reloads", s.Reloads())
 	}
-	if _, err := s.GetGraph("nope"); !errors.Is(err, ErrUnknownGraph) {
+	if _, _, err := s.Load("nope"); !errors.Is(err, ErrUnknownGraph) {
 		t.Errorf("unknown digest error = %v", err)
 	}
 }
@@ -50,10 +62,10 @@ func TestStoreRestartRestoresCatalog(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Ring(16)
 	s := open(t, dir, 0)
-	if err := s.PutGraph("d1", "ring16", g, 42); err != nil {
+	if _, _, err := s.AddGraph("d1", "ring16", g, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetName("alias", "d1"); err != nil {
+	if _, _, err := s.AddGraph("d1", "alias", nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -66,21 +78,21 @@ func TestStoreRestartRestoresCatalog(t *testing.T) {
 		cat[0].Nodes != 16 || cat[0].SrcBytes != 42 {
 		t.Fatalf("restored catalog = %+v", cat)
 	}
-	if s2.Names()["alias"] != "d1" {
-		t.Errorf("alias not restored: %v", s2.Names())
+	if nameOf(s2, "alias") != "d1" {
+		t.Errorf("alias not restored: %v", s2.Catalog())
 	}
-	if s2.Resident("d1") {
+	if resident(s2, "d1") {
 		t.Error("graph resident before first use after restart")
 	}
-	got, err := s2.GetGraph("d1")
+	got, _, err := s2.Load("d1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !g.Equal(got) {
 		t.Error("reloaded graph differs")
 	}
-	if s2.Reloads() != 1 || !s2.Resident("d1") {
-		t.Errorf("reloads=%d resident=%v after cold load", s2.Reloads(), s2.Resident("d1"))
+	if s2.Reloads() != 1 || !resident(s2, "d1") {
+		t.Errorf("reloads=%d resident=%v after cold load", s2.Reloads(), resident(s2, "d1"))
 	}
 }
 
@@ -90,7 +102,7 @@ func TestStoreLRUEvictionKeepsBudget(t *testing.T) {
 	// Room for two rings, not three.
 	s := open(t, t.TempDir(), 2*per)
 	for _, d := range []string{"a", "b", "c"} {
-		if err := s.PutGraph(d, d, gen.Ring(64), 1); err != nil {
+		if _, _, err := s.AddGraph(d, d, gen.Ring(64), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,16 +112,16 @@ func TestStoreLRUEvictionKeepsBudget(t *testing.T) {
 	if s.Evictions() != 1 {
 		t.Errorf("evictions = %d, want 1", s.Evictions())
 	}
-	if s.Resident("a") {
+	if resident(s, "a") {
 		t.Error("least-recently-used graph a still resident")
 	}
 	// Evicted graphs remain servable from disk and re-enter residency,
 	// displacing the new least-recently-used entry (b).
-	if _, err := s.GetGraph("a"); err != nil {
+	if _, _, err := s.Load("a"); err != nil {
 		t.Fatalf("evicted graph not servable: %v", err)
 	}
-	if !s.Resident("a") || s.Resident("b") {
-		t.Errorf("after reload: resident(a)=%v resident(b)=%v", s.Resident("a"), s.Resident("b"))
+	if !resident(s, "a") || resident(s, "b") {
+		t.Errorf("after reload: resident(a)=%v resident(b)=%v", resident(s, "a"), resident(s, "b"))
 	}
 	if s.ResidentBytes() > 2*per {
 		t.Errorf("resident bytes %d exceed budget after reload", s.ResidentBytes())
@@ -118,13 +130,13 @@ func TestStoreLRUEvictionKeepsBudget(t *testing.T) {
 
 func TestStoreOversizedGraphServedUncached(t *testing.T) {
 	s := open(t, t.TempDir(), 8) // smaller than any graph
-	if err := s.PutGraph("big", "big", gen.Ring(128), 1); err != nil {
+	if _, _, err := s.AddGraph("big", "big", gen.Ring(128), 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.Resident("big") || s.ResidentBytes() != 0 {
+	if resident(s, "big") || s.ResidentBytes() != 0 {
 		t.Error("graph larger than the whole budget was admitted")
 	}
-	if _, err := s.GetGraph("big"); err != nil {
+	if _, _, err := s.Load("big"); err != nil {
 		t.Fatalf("oversized graph not servable: %v", err)
 	}
 }
@@ -132,7 +144,7 @@ func TestStoreOversizedGraphServedUncached(t *testing.T) {
 func TestStoreCorruptBlobDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
-	if err := s.PutGraph("d1", "g", gen.Ring(16), 1); err != nil {
+	if _, _, err := s.AddGraph("d1", "g", gen.Ring(16), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -150,11 +162,11 @@ func TestStoreCorruptBlobDropped(t *testing.T) {
 	}
 
 	s2 := open(t, dir, 0)
-	if _, err := s2.GetGraph("d1"); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := s2.Load("d1"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt blob error = %v, want ErrCorrupt", err)
 	}
 	// The blob and every trace of it are gone, so re-upload can heal.
-	if s2.Has("d1") {
+	if _, ok := s2.Stat("d1"); ok {
 		t.Error("corrupt graph still in the catalog")
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
@@ -163,7 +175,7 @@ func TestStoreCorruptBlobDropped(t *testing.T) {
 
 	// A third open must not resurrect it from a stale manifest.
 	s3 := open(t, dir, 0)
-	if s3.Has("d1") {
+	if _, ok := s3.Stat("d1"); ok {
 		t.Error("corrupt graph resurrected on reopen")
 	}
 }
@@ -171,7 +183,7 @@ func TestStoreCorruptBlobDropped(t *testing.T) {
 func TestStoreForeignFormatBlobKept(t *testing.T) {
 	dir := t.TempDir()
 	s0 := open(t, dir, 0)
-	if err := s0.PutGraph("d1", "g", gen.Ring(16), 1); err != nil {
+	if _, _, err := s0.AddGraph("d1", "g", gen.Ring(16), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s0.Close(); err != nil {
@@ -181,12 +193,12 @@ func TestStoreForeignFormatBlobKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := open(t, dir, 0) // fresh residency: the next Get must hit the blob
-	_, err := s.GetGraph("d1")
+	_, _, err := s.Load("d1")
 	if err == nil || !errors.Is(err, graph.ErrBadMagic) {
 		t.Fatalf("foreign blob error = %v, want ErrBadMagic", err)
 	}
 	// Format mismatch is not bit rot: the blob stays for inspection.
-	if !s.Has("d1") {
+	if _, ok := s.Stat("d1"); !ok {
 		t.Error("foreign-format blob was dropped")
 	}
 }
@@ -238,7 +250,7 @@ func TestStoreOrderArtifacts(t *testing.T) {
 
 	// With the graph present, artifacts persist across restarts.
 	s3 := open(t, dir, 0)
-	if err := s3.PutGraph("d2", "g", gen.Ring(16), 1); err != nil {
+	if _, _, err := s3.AddGraph("d2", "g", gen.Ring(16), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s3.PutOrder("d2", "rcm", "ffff", perm); err != nil {
@@ -269,7 +281,7 @@ func TestStoreColdWarm(t *testing.T) {
 	perm := order.Identity(g.NumNodes())
 
 	s := open(t, dir, 0)
-	if err := s.PutGraph("digest", "social", g, 1); err != nil {
+	if _, _, err := s.AddGraph("digest", "social", g, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.GetOrder("digest", "gorder", "k1", g.NumNodes()); ok {
@@ -283,7 +295,7 @@ func TestStoreColdWarm(t *testing.T) {
 	}
 
 	s2 := open(t, dir, 0)
-	if _, err := s2.GetGraph("digest"); err != nil {
+	if _, _, err := s2.Load("digest"); err != nil {
 		t.Fatalf("warm pass graph load: %v", err)
 	}
 	if _, ok := s2.GetOrder("digest", "gorder", "k1", g.NumNodes()); !ok {
@@ -345,7 +357,7 @@ func TestStoreResultArtifacts(t *testing.T) {
 	if err := s.PutResult("d1", "pr", "abcd", blob); !errors.Is(err, ErrUnknownGraph) {
 		t.Fatalf("orphan result error = %v, want ErrUnknownGraph", err)
 	}
-	if err := s.PutGraph("d1", "g", gen.Ring(16), 1); err != nil {
+	if _, _, err := s.AddGraph("d1", "g", gen.Ring(16), 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.GetResult("d1", "pr", "abcd"); ok {

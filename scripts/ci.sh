@@ -15,6 +15,15 @@ if grep -rn --include='*.go' -e 'switch strings\.ToLower' -e 'case Kernel[A-Z]' 
     exit 1
 fi
 
+echo "==> gofmt gate (every Go file formatted)"
+# .bench_build/ holds perfbench's module and build caches, not repo code.
+unformatted=$(gofmt -l . | grep -v '^\.bench_build/' || true)
+if [ -n "$unformatted" ]; then
+    echo "$unformatted" >&2
+    echo "FAIL: gofmt -l lists the files above; run gofmt -w on them" >&2
+    exit 1
+fi
+
 echo "==> store encapsulation gate (data-dir layout private to internal/store)"
 # Only internal/store may touch the on-disk layout (graphs/, orders/,
 # results/, manifest.json). Anything else reaching into the data dir
